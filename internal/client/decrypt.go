@@ -165,6 +165,13 @@ func (d *decrypter) asheOf(av *engine.AggValue) (ashe.Ciphertext, error) {
 	if err != nil {
 		return ashe.Ciphertext{}, fmt.Errorf("client: decode id list: %v", err)
 	}
+	// The list comes from an untrusted daemon; identifier 0 is reserved
+	// and would panic in ashe.Decrypt.
+	for _, r := range ids.Ranges() {
+		if r.Lo == 0 {
+			return ashe.Ciphertext{}, fmt.Errorf("client: id list holds reserved identifier 0")
+		}
+	}
 	return ashe.Ciphertext{Body: av.Ashe.Body, IDs: ids}, nil
 }
 

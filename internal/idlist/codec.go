@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Codec serializes and deserializes identifier lists.
@@ -26,9 +27,9 @@ var (
 	// RangeVBDiff adds differential encoding of range bounds ("+Diff").
 	RangeVBDiff Codec = rangeVB{diff: true}
 	// RangeVBDiffDeflateFast adds Deflate optimized for speed ("+Deflate(Fast)").
-	RangeVBDiffDeflateFast Codec = deflated{inner: rangeVB{diff: true}, level: flate.BestSpeed, name: "ranges+vb+diff+deflate(fast)"}
+	RangeVBDiffDeflateFast Codec = newDeflated(rangeVB{diff: true}, flate.BestSpeed, "ranges+vb+diff+deflate(fast)")
 	// RangeVBDiffDeflateCompact adds Deflate optimized for ratio ("+Deflate(Compact)").
-	RangeVBDiffDeflateCompact Codec = deflated{inner: rangeVB{diff: true}, level: flate.BestCompression, name: "ranges+vb+diff+deflate(compact)"}
+	RangeVBDiffDeflateCompact Codec = newDeflated(rangeVB{diff: true}, flate.BestCompression, "ranges+vb+diff+deflate(compact)")
 	// VBDiff encodes individual identifiers with differential variable-byte
 	// encoding and no range encoding; Seabed uses it for group-by results
 	// whose sparse lists would bloat under range encoding (§4.5).
@@ -59,7 +60,11 @@ func (c rangeVB) Name() string {
 // Encode implements Codec: one (Lo, span) varint pair per range,
 // delta-chained from the previous range's Hi in the diff variant.
 func (c rangeVB) Encode(l List) ([]byte, error) {
-	buf := make([]byte, 0, 16+10*len(l.ranges))
+	return c.appendEncode(make([]byte, 0, 16+10*len(l.ranges)), l), nil
+}
+
+// appendEncode appends Encode's bytes to buf.
+func (c rangeVB) appendEncode(buf []byte, l List) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(l.ranges)))
 	var prevHi uint64
 	for _, r := range l.ranges {
@@ -74,7 +79,7 @@ func (c rangeVB) Encode(l List) ([]byte, error) {
 			buf = binary.AppendUvarint(buf, r.Hi-r.Lo)
 		}
 	}
-	return buf, nil
+	return buf
 }
 
 // Decode implements Codec, inverting Encode.
@@ -85,6 +90,11 @@ func (c rangeVB) Decode(data []byte) (List, error) {
 		return l, fmt.Errorf("idlist: %s: bad range count", c.Name())
 	}
 	data = data[k:]
+	// Each range takes at least two bytes, which bounds the allocation
+	// before an untrusted count can size it.
+	if n > uint64(len(data))/2 {
+		return List{}, fmt.Errorf("idlist: %s: %d ranges in %d bytes", c.Name(), n, len(data))
+	}
 	l.ranges = make([]Range, 0, n)
 	var prevHi uint64
 	for i := uint64(0); i < n; i++ {
@@ -110,10 +120,14 @@ func (c rangeVB) Decode(data []byte) (List, error) {
 		}
 		data = data[k:]
 		hi := lo + span
+		if hi < lo {
+			return List{}, fmt.Errorf("idlist: %s: span overflows at range %d", c.Name(), i)
+		}
 		l.ranges = append(l.ranges, Range{lo, hi})
 		l.n += span + 1
 		prevHi = hi
 	}
+	l.ordered = isOrdered(l.ranges)
 	return l, nil
 }
 
@@ -146,6 +160,9 @@ func (vbDiff) Decode(data []byte) (List, error) {
 		return List{}, fmt.Errorf("idlist: vb+diff: bad id count")
 	}
 	data = data[k:]
+	if n > uint64(len(data)) { // one byte per identifier at least
+		return List{}, fmt.Errorf("idlist: vb+diff: %d ids in %d bytes", n, len(data))
+	}
 	var l List
 	var prev uint64
 	for i := uint64(0); i < n; i++ {
@@ -228,8 +245,11 @@ func (bitmap) Decode(data []byte) (List, error) {
 		return List{}, fmt.Errorf("idlist: bitmap: bad word count")
 	}
 	data = data[k:]
-	if uint64(len(data)) < nwords*8 {
+	if nwords > uint64(len(data))/8 {
 		return List{}, fmt.Errorf("idlist: bitmap: truncated words")
+	}
+	if nwords > 0 && base+nwords*64-1 < base {
+		return List{}, fmt.Errorf("idlist: bitmap: identifiers overflow")
 	}
 	var l List
 	for w := uint64(0); w < nwords; w++ {
@@ -252,10 +272,55 @@ func trailingZeros(v uint64) int {
 	return n
 }
 
+// MaxInflatedBytes bounds the inner encoding a Deflate codec will inflate
+// from one list. Encoded lists arrive from untrusted daemons and Deflate
+// expands up to about 1000×, so Decode stops and fails past this cap
+// rather than buffering a bomb. 64 MiB holds the range encoding of
+// upwards of 20 million ranges, far beyond the lists the workloads build.
+const MaxInflatedBytes = 64 << 20
+
+// maxPooledBuf caps the scratch buffers kept in the codec pools, so one
+// huge list does not pin its memory for the life of the process.
+const maxPooledBuf = 1 << 20
+
+// deflated wraps the range codec in Deflate. Compressor and decompressor
+// state (about 1 MB and 40 KB) is pooled and Reset per call rather than
+// rebuilt; Reset is equivalent to NewWriter, so the bytes are unchanged.
 type deflated struct {
-	inner Codec
-	level int
-	name  string
+	inner     rangeVB
+	name      string
+	deflaters *sync.Pool // of *deflater at the codec's level
+}
+
+type deflater struct {
+	w   *flate.Writer
+	raw []byte // inner encoding scratch
+	out bytes.Buffer
+}
+
+// inflater is pooled decompressor state: the flate reader, the source it
+// reads, and the buffer the inner encoding inflates into.
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser // also a flate.Resetter
+	lim io.LimitedReader
+	raw bytes.Buffer
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := new(inflater)
+	f.r = flate.NewReader(&f.src)
+	return f
+}}
+
+func newDeflated(inner rangeVB, level int, name string) deflated {
+	return deflated{inner: inner, name: name, deflaters: &sync.Pool{New: func() any {
+		w, err := flate.NewWriter(nil, level)
+		if err != nil {
+			panic(fmt.Sprintf("idlist: deflate level %d: %v", level, err))
+		}
+		return &deflater{w: w}
+	}}}
 }
 
 // Name implements Codec.
@@ -263,33 +328,53 @@ func (c deflated) Name() string { return c.name }
 
 // Encode implements Codec: the inner codec's bytes, DEFLATE-compressed.
 func (c deflated) Encode(l List) ([]byte, error) {
-	raw, err := c.inner.Encode(l)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, c.level)
-	if err != nil {
+	d := c.deflaters.Get().(*deflater)
+	defer func() {
+		if cap(d.raw) > maxPooledBuf {
+			d.raw = nil
+		}
+		if d.out.Cap() > maxPooledBuf {
+			d.out = bytes.Buffer{}
+		}
+		c.deflaters.Put(d)
+	}()
+	d.raw = c.inner.appendEncode(d.raw[:0], l)
+	d.out.Reset()
+	d.w.Reset(&d.out)
+	if _, err := d.w.Write(d.raw); err != nil {
 		return nil, fmt.Errorf("idlist: deflate: %v", err)
 	}
-	if _, err := w.Write(raw); err != nil {
+	if err := d.w.Close(); err != nil {
 		return nil, fmt.Errorf("idlist: deflate: %v", err)
 	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("idlist: deflate: %v", err)
-	}
-	return buf.Bytes(), nil
+	return bytes.Clone(d.out.Bytes()), nil
 }
 
-// Decode implements Codec, inflating then delegating to the inner codec.
+// Decode implements Codec, inflating at most MaxInflatedBytes then
+// delegating to the inner codec.
 func (c deflated) Decode(data []byte) (List, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	raw, err := io.ReadAll(r)
-	if err != nil {
+	return c.decode(data, MaxInflatedBytes)
+}
+
+func (c deflated) decode(data []byte, limit int) (List, error) {
+	f := inflaters.Get().(*inflater)
+	defer func() {
+		if f.raw.Cap() > maxPooledBuf {
+			f.raw = bytes.Buffer{}
+		}
+		inflaters.Put(f)
+	}()
+	f.src.Reset(data)
+	if err := f.r.(flate.Resetter).Reset(&f.src, nil); err != nil {
 		return List{}, fmt.Errorf("idlist: inflate: %v", err)
 	}
-	if err := r.Close(); err != nil {
+	f.raw.Reset()
+	f.lim = io.LimitedReader{R: f.r, N: int64(limit) + 1}
+	if _, err := f.raw.ReadFrom(&f.lim); err != nil {
 		return List{}, fmt.Errorf("idlist: inflate: %v", err)
 	}
-	return c.inner.Decode(raw)
+	if f.raw.Len() > limit {
+		return List{}, fmt.Errorf("idlist: inflate: output exceeds %d bytes", limit)
+	}
+	return c.inner.Decode(f.raw.Bytes())
 }

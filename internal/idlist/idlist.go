@@ -26,6 +26,11 @@ func (r Range) Span() uint64 { return r.Hi - r.Lo + 1 }
 type List struct {
 	ranges []Range
 	n      uint64 // total identifier count, with multiplicity
+	// ordered records that ranges are sorted by Lo and that no range abuts
+	// its predecessor: the shape Merge's general path leaves a list in.
+	// Every mutator keeps it exact (false when empty), so Merge can spot
+	// the ordered fold without rescanning l.
+	ordered bool
 }
 
 // FromRange returns a list containing every identifier in [lo, hi].
@@ -52,7 +57,25 @@ func FromRanges(rs []Range) List {
 		l.ranges[i] = r
 		l.n += r.Span()
 	}
+	l.ordered = isOrdered(l.ranges)
 	return l
+}
+
+// isOrdered reports whether rs is non-empty, sorted by Lo, and free of
+// abutting neighbours (see List.ordered).
+func isOrdered(rs []Range) bool {
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Lo < rs[i-1].Lo || abuts(rs[i-1], rs[i].Lo) {
+			return false
+		}
+	}
+	return len(rs) > 0
+}
+
+// abuts reports whether a range starting at lo continues prev directly, so
+// the two coalesce.
+func abuts(prev Range, lo uint64) bool {
+	return lo == prev.Hi+1 && prev.Hi != ^uint64(0)
 }
 
 // FromIDs returns a list containing the given identifiers, which must be in
@@ -77,26 +100,25 @@ func (l *List) AppendRange(lo, hi uint64) {
 		panic(fmt.Sprintf("idlist: AppendRange(%d, %d): lo > hi", lo, hi))
 	}
 	l.n += hi - lo + 1
-	if k := len(l.ranges); k > 0 {
+	l.push(Range{lo, hi})
+}
+
+// push appends r, extending the last range instead when r abuts it.
+// Duplicate, overlapping and out-of-order ranges stay separate so the
+// multiset survives; they only clear the ordered flag.
+func (l *List) push(r Range) {
+	k := len(l.ranges)
+	if k == 0 {
+		l.ordered = true
+	} else {
 		last := &l.ranges[k-1]
-		if lo == last.Hi+1 && last.Hi != ^uint64(0) {
-			last.Hi = hi
+		if abuts(*last, r.Lo) {
+			last.Hi = r.Hi
 			return
 		}
-		if lo <= last.Hi && lo >= last.Lo && hi <= last.Hi {
-			// Duplicate inside the last range: must keep as separate range to
-			// preserve multiset semantics. Fall through to append.
-			l.ranges = append(l.ranges, Range{lo, hi})
-			return
-		}
-		if lo <= last.Hi {
-			// Out-of-order or overlapping append; keep as-is and let Merge
-			// re-sort lazily via mergeSorted when combined with others.
-			l.ranges = append(l.ranges, Range{lo, hi})
-			return
-		}
+		l.ordered = l.ordered && r.Lo >= last.Lo
 	}
-	l.ranges = append(l.ranges, Range{lo, hi})
+	l.ranges = append(l.ranges, r)
 }
 
 // Len returns the number of identifiers in the multiset, with multiplicity.
@@ -113,7 +135,7 @@ func (l List) Ranges() []Range { return l.ranges }
 
 // Clone returns a deep copy of the list.
 func (l List) Clone() List {
-	c := List{n: l.n}
+	c := List{n: l.n, ordered: l.ordered}
 	if len(l.ranges) > 0 {
 		c.ranges = make([]Range, len(l.ranges))
 		copy(c.ranges, l.ranges)
@@ -124,6 +146,14 @@ func (l List) Clone() List {
 // Merge unions another list into l (multiset union). Both lists' ranges are
 // merged in Lo order; abutting ranges coalesce, overlapping ranges are kept
 // separate so duplicates survive.
+//
+// When l is ordered and other's first range starts at or after l's last,
+// the merge is an append: l's ranges stay as they are and other's follow,
+// coalescing at the boundary. That case — the reducer folding task outputs
+// in partition order — runs in place in O(len(other)), reusing l's spare
+// capacity, so folding many lists costs amortized linear time. Like
+// AppendRange, it writes into l's backing array: two List values that share
+// one (copies of the same list) must not both be merged into.
 func (l *List) Merge(other List) {
 	if other.n == 0 {
 		return
@@ -132,36 +162,33 @@ func (l *List) Merge(other List) {
 		*l = other.Clone()
 		return
 	}
-	merged := make([]Range, 0, len(l.ranges)+len(other.ranges))
+	if l.ordered && l.ranges[len(l.ranges)-1].Lo <= other.ranges[0].Lo {
+		for _, r := range other.ranges {
+			l.push(r)
+		}
+		l.n += other.n
+		return
+	}
+	// Interleaved lists: a two-way merge by Lo into a fresh slice.
+	merged := List{ranges: make([]Range, 0, len(l.ranges)+len(other.ranges)), n: l.n + other.n}
 	a, b := l.ranges, other.ranges
 	i, j := 0, 0
-	push := func(r Range) {
-		if k := len(merged); k > 0 {
-			last := &merged[k-1]
-			if r.Lo == last.Hi+1 && last.Hi != ^uint64(0) {
-				last.Hi = r.Hi
-				return
-			}
-		}
-		merged = append(merged, r)
-	}
 	for i < len(a) && j < len(b) {
 		if a[i].Lo <= b[j].Lo {
-			push(a[i])
+			merged.push(a[i])
 			i++
 		} else {
-			push(b[j])
+			merged.push(b[j])
 			j++
 		}
 	}
 	for ; i < len(a); i++ {
-		push(a[i])
+		merged.push(a[i])
 	}
 	for ; j < len(b); j++ {
-		push(b[j])
+		merged.push(b[j])
 	}
-	l.ranges = merged
-	l.n += other.n
+	*l = merged
 }
 
 // IDs expands the list into individual identifiers, with multiplicity. It is

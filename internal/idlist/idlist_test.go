@@ -303,3 +303,178 @@ func BenchmarkMerge(b *testing.B) {
 		c.Merge(y)
 	}
 }
+
+// seedMerge is the two-way merge Merge performed before it gained the
+// in-place ordered path, kept verbatim as the oracle for that path.
+func seedMerge(l, other List) []Range {
+	if other.n == 0 {
+		return l.ranges
+	}
+	if l.n == 0 {
+		return other.ranges
+	}
+	merged := make([]Range, 0, len(l.ranges)+len(other.ranges))
+	a, b := l.ranges, other.ranges
+	i, j := 0, 0
+	push := func(r Range) {
+		if k := len(merged); k > 0 {
+			last := &merged[k-1]
+			if r.Lo == last.Hi+1 && last.Hi != ^uint64(0) {
+				last.Hi = r.Hi
+				return
+			}
+		}
+		merged = append(merged, r)
+	}
+	for i < len(a) && j < len(b) {
+		if a[i].Lo <= b[j].Lo {
+			push(a[i])
+			i++
+		} else {
+			push(b[j])
+			j++
+		}
+	}
+	for ; i < len(a); i++ {
+		push(a[i])
+	}
+	for ; j < len(b); j++ {
+		push(b[j])
+	}
+	return merged
+}
+
+// messyRanges builds up to n ranges starting near from, mixing ascending
+// runs with duplicates, overlaps, out-of-order ranges and abutting pairs.
+func messyRanges(rng *rand.Rand, from uint64, n int) []Range {
+	rs := make([]Range, 0, n)
+	cur := from
+	for i := 0; i < n; i++ {
+		var r Range
+		switch k := rng.Intn(10); {
+		case k < 5 || len(rs) == 0: // ascending, sometimes abutting
+			lo := cur + uint64(rng.Intn(3))
+			r = Range{lo, lo + uint64(rng.Intn(8))}
+		case k < 7: // duplicate of / overlap with the previous range
+			p := rs[len(rs)-1]
+			r = Range{p.Lo + uint64(rng.Intn(int(p.Span()))), p.Hi + uint64(rng.Intn(3))}
+		case k < 8: // exactly abutting the previous range
+			p := rs[len(rs)-1]
+			r = Range{p.Hi + 1, p.Hi + 1 + uint64(rng.Intn(4))}
+		default: // out of order
+			lo := from + uint64(rng.Intn(int(cur-from)+1))
+			r = Range{lo, lo + uint64(rng.Intn(5))}
+		}
+		rs = append(rs, r)
+		if r.Hi+1 > cur {
+			cur = r.Hi + 1
+		}
+	}
+	return rs
+}
+
+// checkOrderedFlag asserts the cached ordered flag matches the ranges.
+func checkOrderedFlag(t *testing.T, l List) {
+	t.Helper()
+	if l.ordered != isOrdered(l.ranges) {
+		t.Fatalf("ordered flag %v, ranges %v say %v", l.ordered, l.ranges, isOrdered(l.ranges))
+	}
+}
+
+func TestMergeMatchesSeedMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 5000; trial++ {
+		// Half the trials start other at or after l's end — the in-place
+		// path, boundary coalescing included — and half anywhere.
+		a := FromRanges(messyRanges(rng, uint64(rng.Intn(50)+1), rng.Intn(6)))
+		from := uint64(rng.Intn(100) + 1)
+		if n := a.NumRanges(); n > 0 && trial%2 == 0 {
+			from = a.Ranges()[n-1].Lo + uint64(rng.Intn(int(a.Ranges()[n-1].Span())+2))
+		}
+		b := FromRanges(messyRanges(rng, from, rng.Intn(6)))
+		want := seedMerge(a.Clone(), b)
+		got := a.Clone()
+		got.Merge(b)
+		if !got.Equal(FromRanges(want)) {
+			t.Fatalf("trial %d: %s ∪ %s = %s, seed merge gives %v", trial, a, b, got, want)
+		}
+		checkOrderedFlag(t, got)
+	}
+}
+
+func TestMergeFoldMatchesSeedMerge(t *testing.T) {
+	// Long folds exercise the flag across many in-place appends, the way
+	// the reducer folds task outputs in partition order.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		var acc, ref List
+		cur := uint64(1)
+		for step := 0; step < 40; step++ {
+			from := cur
+			if rng.Intn(8) == 0 {
+				from = uint64(rng.Intn(int(cur)) + 1) // occasionally interleave
+			}
+			part := FromRanges(messyRanges(rng, from, rng.Intn(5)+1))
+			ref = FromRanges(seedMerge(ref, part))
+			acc.Merge(part)
+			if !acc.Equal(ref) {
+				t.Fatalf("trial %d step %d: fold %s, seed merge gives %s", trial, step, acc, ref)
+			}
+			checkOrderedFlag(t, acc)
+			for _, r := range part.Ranges() {
+				cur = max(cur, r.Hi+1)
+			}
+		}
+	}
+}
+
+func TestOrderedFlagTracksAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 500; trial++ {
+		var l List
+		for _, r := range messyRanges(rng, 1, rng.Intn(12)+1) {
+			l.AppendRange(r.Lo, r.Hi)
+			checkOrderedFlag(t, l)
+		}
+		checkOrderedFlag(t, l.Clone())
+	}
+}
+
+func TestMergeOrderedInPlaceAllocsNothing(t *testing.T) {
+	base := FromRange(1, 50)
+	base.ranges = append(make([]Range, 0, 64), base.ranges...)
+	other := FromRanges([]Range{{60, 70}, {72, 80}})
+	want := FromRanges([]Range{{1, 50}, {60, 70}, {72, 80}})
+	allocs := testing.AllocsPerRun(100, func() {
+		l := base // shares base's spare capacity; base's own ranges are untouched
+		l.Merge(other)
+		if !l.Equal(want) {
+			t.Fatalf("merge = %s, want %s", l, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("wholly-after Merge with spare capacity allocated %.0f times per call, want 0", allocs)
+	}
+}
+
+func BenchmarkMergeOrderedFold(b *testing.B) {
+	// The reducer's shape: 64 task lists, each after the last, folded in
+	// task order.
+	rng := rand.New(rand.NewSource(7))
+	tasks := make([]List, 64)
+	cur := uint64(1)
+	for i := range tasks {
+		for r := 0; r < 100; r++ {
+			span := uint64(rng.Intn(20))
+			tasks[i].AppendRange(cur, cur+span)
+			cur += span + 2 + uint64(rng.Intn(10))
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var acc List
+		for _, t := range tasks {
+			acc.Merge(t)
+		}
+	}
+}
