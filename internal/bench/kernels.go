@@ -8,6 +8,7 @@ import (
 
 	"seabed/internal/ashe"
 	"seabed/internal/engine"
+	"seabed/internal/ope"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 )
@@ -28,10 +29,19 @@ func Kernels(cfg Config, w io.Writer) error {
 		rows, engine.DefaultWorkers)
 
 	key := ashe.MustNewKey([]byte("bench-key-16byte"))
+	opeKey := ope.MustNewKey([]byte("bench-ope-key-16"))
+	// v has 100 distinct values; rows sharing a value share its OPE
+	// ciphertext, so the column costs one slice header per row and the
+	// key's 64 AES calls run per value, not per row.
+	var opeVals [100][]byte
+	for v := range opeVals {
+		opeVals[v] = opeKey.Encrypt(uint64(v))
+	}
 	vals := make([]uint64, rows)
 	dims := make([]uint64, rows)
 	wide := make([]uint64, rows)
 	body := make([]uint64, rows)
+	opeCol := make([][]byte, rows)
 	for i := 0; i < rows; i++ {
 		vals[i] = uint64(i % 100)
 		dims[i] = uint64(i % 1024)
@@ -39,12 +49,14 @@ func Kernels(cfg Config, w io.Writer) error {
 		// dense direct-index span, so grouping runs the hashed/radix path.
 		wide[i] = uint64(i)*0x9e3779b1 + 11
 		body[i] = key.EncryptBody(vals[i], uint64(i)+1)
+		opeCol[i] = opeVals[i%100]
 	}
 	tbl, err := store.Build("kern", []store.Column{
 		{Name: "v", Kind: store.U64, U64: vals},
 		{Name: "d", Kind: store.U64, U64: dims},
 		{Name: "u", Kind: store.U64, U64: wide},
 		{Name: "v_ashe", Kind: store.U64, U64: body},
+		{Name: "v_ope", Kind: store.Bytes, Bytes: opeCol},
 	}, engine.DefaultWorkers)
 	if err != nil {
 		return err
@@ -63,6 +75,11 @@ func Kernels(cfg Config, w io.Writer) error {
 		{"ashe sum", func() *engine.Plan {
 			return &engine.Plan{Table: tbl,
 				Aggs: []engine.Agg{{Kind: engine.AggAsheSum, Col: "v_ashe"}}}
+		}},
+		{"ope filter + ashe sum", func() *engine.Plan {
+			return &engine.Plan{Table: tbl,
+				Filters: []engine.Filter{{Kind: engine.FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpLt, Bytes: opeVals[30]}},
+				Aggs:    []engine.Agg{{Kind: engine.AggAsheSum, Col: "v_ashe"}}}
 		}},
 		{"group-by (1024 u64 keys)", func() *engine.Plan {
 			return &engine.Plan{Table: tbl, GroupBy: &engine.GroupBy{Col: "d"},

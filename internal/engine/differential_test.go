@@ -75,15 +75,18 @@ func diffFixture(t *testing.T, rows, parts int) (*store.Table, *store.Table, *pa
 	rdim := make([]uint64, rdims)
 	rdet := make([][]byte, rdims)
 	rank := make([]uint64, rdims)
+	rankOpe := make([][]byte, rdims)
 	for i := 0; i < rdims; i++ {
 		rdim[i] = uint64(i)
 		rdet[i] = detKey.EncryptU64(uint64(i))
 		rank[i] = uint64(100 + i*11)
+		rankOpe[i] = opeKey.Encrypt(rank[i])
 	}
 	right, err := store.Build("r", []store.Column{
 		{Name: "rdim", Kind: store.U64, U64: rdim},
 		{Name: "rdim_det", Kind: store.Bytes, Bytes: rdet},
 		{Name: "rank", Kind: store.U64, U64: rank},
+		{Name: "rank_ope", Kind: store.Bytes, Bytes: rankOpe},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +245,37 @@ func TestDifferentialExecutors(t *testing.T) {
 				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(30)}},
 				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
 		}},
+		// OPE range filters under every operator: the operator-specialized
+		// word-wide kernel on the join-free path. 41 is a stored value, so
+		// Eq/Ne/Le/Ge each hit their boundary rows.
+		{"seabed/ope-filter-eq", opeFilterCase(tbl, sqlparse.OpEq, opeKey.Encrypt(41))},
+		{"seabed/ope-filter-ne", opeFilterCase(tbl, sqlparse.OpNe, opeKey.Encrypt(41))},
+		{"seabed/ope-filter-lt", opeFilterCase(tbl, sqlparse.OpLt, opeKey.Encrypt(41))},
+		{"seabed/ope-filter-le", opeFilterCase(tbl, sqlparse.OpLe, opeKey.Encrypt(41))},
+		{"seabed/ope-filter-gt", opeFilterCase(tbl, sqlparse.OpGt, opeKey.Encrypt(41))},
+		{"seabed/ope-filter-ge", opeFilterCase(tbl, sqlparse.OpGe, opeKey.Encrypt(41))},
+		{"seabed/ope-filter-unknown-op", opeFilterCase(tbl, sqlparse.CmpOp(99), opeKey.Encrypt(41))},
+		// Constants that are not CiphertextSize bytes long, as a hostile
+		// plan frame can carry: the compile-time length check routes them
+		// to rowPred, and the byte-at-a-time comparison treats the common
+		// prefix as the whole order.
+		{"seabed/ope-filter-const-63", opeFilterCase(tbl, sqlparse.OpLe, opeKey.Encrypt(41)[:63])},
+		{"seabed/ope-filter-const-65", opeFilterCase(tbl, sqlparse.OpLt, append(opeKey.Encrypt(41), 2))},
+		{"seabed/ope-filter-const-empty", opeFilterCase(tbl, sqlparse.OpEq, []byte{})},
+		// OPE filters in join plans keep rowPred: on a left-side column and
+		// on a column the broadcast join contributed.
+		{"seabed/join-ope-filter-left", func() *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "d_det", RightCol: "rdim_det", RightCols: []string{"rank"}},
+				Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpGe, Bytes: opeKey.Encrypt(60)}},
+				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggPlainSum, Col: "rank"}, {Kind: AggCount}}}
+		}},
+		{"seabed/join-ope-filter-right", func() *Plan {
+			return &Plan{Table: tbl,
+				Join:    &Join{Right: right, LeftCol: "d_det", RightCol: "rdim_det", RightCols: []string{"rank", "rank_ope"}},
+				Filters: []Filter{{Kind: FilterOpeCmp, Col: "rank_ope", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(122)}},
+				Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggPlainSum, Col: "rank"}, {Kind: AggCount}}}
+		}},
 		{"seabed/group-by-det", func() *Plan {
 			return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d_det"},
 				Aggs: []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
@@ -328,6 +362,17 @@ func TestDifferentialExecutors(t *testing.T) {
 			}
 			assertSameResult(t, tc.name, vec, ref)
 		})
+	}
+}
+
+// opeFilterCase is an OPE range filter on v_ope feeding an ASHE sum and a
+// count, grouped by the DET dimension so the survivors also scatter across
+// groups.
+func opeFilterCase(tbl *store.Table, op sqlparse.CmpOp, c []byte) func() *Plan {
+	return func() *Plan {
+		return &Plan{Table: tbl, GroupBy: &GroupBy{Col: "d_det"},
+			Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: op, Bytes: c}},
+			Aggs:    []Agg{{Kind: AggAsheSum, Col: "v_ashe"}, {Kind: AggCount}}}
 	}
 }
 

@@ -84,9 +84,9 @@ func rowPred(match func(pc *partCols, i, j int32, rowID uint64) bool) predKernel
 	}
 }
 
-// compileFilter lowers one filter to a predicate kernel. Plain u64
+// compileFilter lowers one filter to a predicate kernel. Plain u64 and OPE
 // comparisons on left-side columns of join-free plans get fully specialized
-// per operator — the hot path of a filtered scan; everything else goes
+// per operator — the hot paths of a filtered scan; everything else goes
 // through the rowPred driver with the kind dispatch resolved here, once.
 func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 	right := cp.filters[fi].isRight() && f.Kind != FilterRandom
@@ -159,6 +159,9 @@ func (cp *compiledPlan) compileFilter(fi int, f *Filter) (predKernel, error) {
 
 	case FilterOpeCmp:
 		want, op := f.Bytes, f.Op
+		if vectorizable && len(want) == ope.CiphertextSize {
+			return opeCmpKernel(fi, op, (*[ope.CiphertextSize]byte)(want)), nil
+		}
 		return rowPred(func(pc *partCols, i, j int32, rowID uint64) bool {
 			return cmpMatch(op, ope.Compare(pc.filters[fi].Bytes[pick(i, j, right)], want))
 		}), nil
@@ -231,13 +234,63 @@ func plainCmpKernel(fi int, op sqlparse.CmpOp, c uint64) (predKernel, error) {
 			b.sel = out
 		}, nil
 	}
-	// An unknown operator selects nothing, matching cmpMatch's default.
-	return func(pc *partCols, b *batch, _ uint64) {
-		b.sel = b.sel[:0]
-		if b.join != nil {
-			b.join = b.join[:0]
+	return selectNone, nil
+}
+
+// selectNone is the kernel for an unknown operator: it selects nothing,
+// matching cmpMatch's default.
+func selectNone(pc *partCols, b *batch, _ uint64) {
+	b.sel = b.sel[:0]
+	if b.join != nil {
+		b.join = b.join[:0]
+	}
+}
+
+// opeCmpKernel returns the operator-specialized OPE range-filter kernel for
+// a left-side column of a join-free plan whose constant is a full-size
+// ciphertext. The length check runs here, once: hostile constants of any
+// other length take rowPred, and slicing c hands ope.Compare a
+// constant-length operand, so per row only the stored ciphertext's length
+// is checked before the word-wide comparison. Each operator is one sign
+// test of that comparison, negated for its complement — no cmpMatch switch
+// and no closure call per row.
+func opeCmpKernel(fi int, op sqlparse.CmpOp, c *[ope.CiphertextSize]byte) predKernel {
+	switch op {
+	case sqlparse.OpEq, sqlparse.OpNe:
+		neg := op == sqlparse.OpNe
+		return func(pc *partCols, b *batch, _ uint64) {
+			col, out := pc.filters[fi].Bytes, b.sel[:0]
+			for _, i := range b.sel {
+				if (ope.Compare(col[i], c[:]) == 0) != neg {
+					out = append(out, i)
+				}
+			}
+			b.sel = out
 		}
-	}, nil
+	case sqlparse.OpLt, sqlparse.OpGe:
+		neg := op == sqlparse.OpGe
+		return func(pc *partCols, b *batch, _ uint64) {
+			col, out := pc.filters[fi].Bytes, b.sel[:0]
+			for _, i := range b.sel {
+				if (ope.Compare(col[i], c[:]) < 0) != neg {
+					out = append(out, i)
+				}
+			}
+			b.sel = out
+		}
+	case sqlparse.OpGt, sqlparse.OpLe:
+		neg := op == sqlparse.OpLe
+		return func(pc *partCols, b *batch, _ uint64) {
+			col, out := pc.filters[fi].Bytes, b.sel[:0]
+			for _, i := range b.sel {
+				if (ope.Compare(col[i], c[:]) > 0) != neg {
+					out = append(out, i)
+				}
+			}
+			b.sel = out
+		}
+	}
+	return selectNone
 }
 
 // pick maps a (left row, joined row) pair to the index a column reads,

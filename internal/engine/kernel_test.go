@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"seabed/internal/idlist"
+	"seabed/internal/ope"
 	"seabed/internal/sqlparse"
 	"seabed/internal/store"
 )
@@ -158,6 +159,108 @@ func TestKernelU64GroupKeyAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("u64 group-key path allocates %.1f allocs per pass in steady state, want 0", avg)
+	}
+}
+
+// opeKernelFixture builds the range-filter shape of the paper's dashboard
+// and ingest queries: v = i%365 (a day-of-year dimension), its OPE
+// ciphertext in v_ope — one contiguous 64-byte slot per row, as a decoded
+// segment lays them out — and v as the ASHE body column.
+func opeKernelFixture(tb testing.TB, rows int) *store.Table {
+	tb.Helper()
+	const days = 365
+	var cts [days][]byte
+	for d := range cts {
+		cts[d] = opeKey.Encrypt(uint64(d))
+	}
+	vals := make([]uint64, rows)
+	opeCol := make([][]byte, rows)
+	backing := make([]byte, rows*ope.CiphertextSize)
+	for i := 0; i < rows; i++ {
+		vals[i] = uint64(i % days)
+		slot := backing[i*ope.CiphertextSize : (i+1)*ope.CiphertextSize : (i+1)*ope.CiphertextSize]
+		copy(slot, cts[i%days])
+		opeCol[i] = slot
+	}
+	tbl, err := store.Build("o", []store.Column{
+		{Name: "v", Kind: store.U64, U64: vals},
+		{Name: "v_ope", Kind: store.Bytes, Bytes: opeCol},
+	}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tbl
+}
+
+// opeFilterPlan is WHERE v < 30 on the OPE column, summing aggs over the
+// survivors.
+func opeFilterPlan(tbl *store.Table, aggs ...Agg) *Plan {
+	return &Plan{
+		Table:   tbl,
+		Filters: []Filter{{Kind: FilterOpeCmp, Col: "v_ope", Op: sqlparse.OpLt, Bytes: opeKey.Encrypt(30)}},
+		Aggs:    aggs,
+	}
+}
+
+// TestKernelOpeFilterAllocFree is the u64 guard's twin for the OPE range
+// filter: the word-wide comparison kernel compacts the selection vector
+// without touching the heap.
+func TestKernelOpeFilterAllocFree(t *testing.T) {
+	tbl := opeKernelFixture(t, 1<<14)
+	cp, err := opeFilterPlan(tbl, Agg{Kind: AggPlainSum, Col: "v"}, Agg{Kind: AggCount}).compile(0, idlist.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := cp.newTaskState(tbl.Parts[0])
+	ctx := context.Background()
+	n := tbl.Parts[0].NumRows()
+	if err := ts.execute(ctx, 0, n-1); err != nil { // warm up
+		t.Fatal(err)
+	}
+	var want uint64
+	for i := 0; i < n; i++ {
+		if i%365 < 30 {
+			want++
+		}
+	}
+	if ts.res.rowsSelected != want {
+		t.Fatalf("OPE filter selected %d rows, want %d", ts.res.rowsSelected, want)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		resetSingle(ts)
+		if err := ts.execute(ctx, 0, n-1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("OPE filter kernel path allocates %.1f allocs per pass, want 0", avg)
+	}
+}
+
+// TestKernelOpeFilterMatchesPlaintext checks the OPE kernel's semantics
+// against plaintext, not just against the reference evaluator: for every
+// operator and constants below, inside and above the stored domain, the
+// rows an OPE filter on v_ope selects are the rows the u64 filter on v does.
+func TestKernelOpeFilterMatchesPlaintext(t *testing.T) {
+	tbl := opeKernelFixture(t, 3000)
+	c := NewCluster(Config{Workers: 2})
+	ops := []sqlparse.CmpOp{sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe}
+	count := func(f Filter) uint64 {
+		t.Helper()
+		res, err := c.Run(context.Background(), &Plan{Table: tbl, Filters: []Filter{f}, Aggs: []Agg{{Kind: AggCount}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Metrics.RowsSelected
+	}
+	for _, op := range ops {
+		for _, k := range []uint64{0, 30, 364, 400} {
+			want := count(Filter{Kind: FilterPlainCmp, Col: "v", Op: op, U64: k})
+			got := count(Filter{Kind: FilterOpeCmp, Col: "v_ope", Op: op, Bytes: opeKey.Encrypt(k)})
+			if got != want {
+				t.Errorf("op %v, constant %d: OPE filter selected %d rows, plaintext %d", op, k, got, want)
+			}
+		}
 	}
 }
 
@@ -444,6 +547,45 @@ func BenchmarkKernelScanProjectReference(b *testing.B) {
 		Project: []string{"v", "w"},
 	}
 	rp, err := pl.compileReference(idlist.Default)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCluster(Config{Workers: 1})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRows(b, benchRows)
+}
+
+// BenchmarkKernelOpeFilterAsheSum is the ingest reader's shape: an OPE
+// range filter (WHERE day < 30, ~8% selected) feeding an ASHE sum, through
+// the full vectorized map task.
+func BenchmarkKernelOpeFilterAsheSum(b *testing.B) {
+	tbl := opeKernelFixture(b, benchRows)
+	cp, err := opeFilterPlan(tbl, Agg{Kind: AggAsheSum, Col: "v"}).compile(0, idlist.Default)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCluster(Config{Workers: 1})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cp.runMapTask(ctx, c, tbl.Parts[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRows(b, benchRows)
+}
+
+func BenchmarkKernelOpeFilterAsheSumReference(b *testing.B) {
+	tbl := opeKernelFixture(b, benchRows)
+	rp, err := opeFilterPlan(tbl, Agg{Kind: AggAsheSum, Col: "v"}).compileReference(idlist.Default)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,6 +14,16 @@
 // plaintexts differ (inddiff), and nothing more. Unlike the mutable OPE
 // used by CryptDB it is stateless and handles dynamic data, which is why
 // Seabed adopts it (§4.2).
+//
+// The server-side comparison runs at word width: when both ciphertexts are
+// CiphertextSize bytes long, CompareLeak loads them eight bytes at a time,
+// XORs the words, and locates the first differing byte of the first
+// non-zero word with a trailing-zero count (little-endian loads keep byte
+// order and bit order aligned). The mod-3 rule then runs at that one byte.
+// Any other length takes the byte-at-a-time loop. Both paths return the
+// identical (cmp, inddiff) on every input, so the scheme's leakage is
+// unchanged: the result still depends only on the position and value of the
+// first differing byte.
 package ope
 
 import (
@@ -21,6 +31,7 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // KeySize is the secret key length in bytes.
@@ -93,20 +104,46 @@ func Compare(ct1, ct2 []byte) int {
 // the 1-based index of the most significant bit where the plaintexts differ
 // (0 when equal).
 func CompareLeak(ct1, ct2 []byte) (cmp, inddiff int) {
-	n := len(ct1)
-	if len(ct2) < n {
-		n = len(ct2)
+	if len(ct1) == CiphertextSize && len(ct2) == CiphertextSize {
+		return compareWords((*[CiphertextSize]byte)(ct1), (*[CiphertextSize]byte)(ct2))
 	}
-	for i := 0; i < n; i++ {
-		if ct1[i] == ct2[i] {
-			continue
+	return compareBytes(ct1, ct2)
+}
+
+// compareWords is CompareLeak for two full-size ciphertexts, eight bytes
+// per step: the first non-zero XOR word holds the first differing byte at
+// its lowest set byte.
+func compareWords(a, b *[CiphertextSize]byte) (cmp, inddiff int) {
+	for off := 0; off < CiphertextSize; off += 8 {
+		x := binary.LittleEndian.Uint64(a[off:]) ^ binary.LittleEndian.Uint64(b[off:])
+		if x != 0 {
+			i := off + bits.TrailingZeros64(x)>>3
+			return orderAt(a[i], b[i]), i + 1
 		}
-		if ct1[i] == (ct2[i]+1)%3 {
-			return 1, i + 1
-		}
-		return -1, i + 1
 	}
 	return 0, 0
+}
+
+// compareBytes is CompareLeak's byte-at-a-time path for ciphertexts of any
+// length: it scans the common prefix and treats a strict prefix as equal.
+func compareBytes(ct1, ct2 []byte) (cmp, inddiff int) {
+	n := min(len(ct1), len(ct2))
+	for i := 0; i < n; i++ {
+		if ct1[i] != ct2[i] {
+			return orderAt(ct1[i], ct2[i]), i + 1
+		}
+	}
+	return 0, 0
+}
+
+// orderAt applies the scheme's mod-3 rule at the first differing position:
+// u = (u' + 1) mod 3 means the first plaintext is larger. The arithmetic is
+// on bytes, so an out-of-range (hostile) byte wraps exactly as it always has.
+func orderAt(u, v byte) int {
+	if u == (v+1)%3 {
+		return 1
+	}
+	return -1
 }
 
 // Less reports whether ct1's plaintext is strictly smaller than ct2's.

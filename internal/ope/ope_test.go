@@ -119,6 +119,107 @@ func TestNewKeyRejectsBadSecret(t *testing.T) {
 	}
 }
 
+// referenceCompareLeak is the byte-at-a-time comparison CompareLeak used
+// before it went word-wide, kept verbatim as the oracle: (cmp, inddiff) is
+// the scheme's documented leakage, so the fast path must agree with it on
+// every input, well-formed or not.
+func referenceCompareLeak(ct1, ct2 []byte) (cmp, inddiff int) {
+	n := len(ct1)
+	if len(ct2) < n {
+		n = len(ct2)
+	}
+	for i := 0; i < n; i++ {
+		if ct1[i] == ct2[i] {
+			continue
+		}
+		if ct1[i] == (ct2[i]+1)%3 {
+			return 1, i + 1
+		}
+		return -1, i + 1
+	}
+	return 0, 0
+}
+
+// checkAgainstReference asserts CompareLeak matches the reference on one
+// ordered pair.
+func checkAgainstReference(t *testing.T, a, b []byte) {
+	t.Helper()
+	gotCmp, gotInd := CompareLeak(a, b)
+	wantCmp, wantInd := referenceCompareLeak(a, b)
+	if gotCmp != wantCmp || gotInd != wantInd {
+		t.Fatalf("CompareLeak(%x, %x) = (%d, %d), reference (%d, %d)", a, b, gotCmp, gotInd, wantCmp, wantInd)
+	}
+}
+
+// TestCompareLeakMatchesReferenceOnCiphertexts runs every ordered pair of
+// real ciphertexts of 0…400, 1<<63 and 2^64−1 under two keys through both
+// comparisons: small values share 55+ leading bytes, so the first
+// difference lands in every word position the filter workloads hit, and the
+// extremes put it in the first byte.
+func TestCompareLeakMatchesReferenceOnCiphertexts(t *testing.T) {
+	values := make([]uint64, 0, 403)
+	for v := uint64(0); v <= 400; v++ {
+		values = append(values, v)
+	}
+	values = append(values, 1<<63, ^uint64(0))
+	for _, key := range []*Key{testKey, MustNewKey([]byte("fedcba9876543210"))} {
+		cts := make([][]byte, len(values))
+		for i, v := range values {
+			cts[i] = key.Encrypt(v)
+		}
+		for i := range cts {
+			for j := range cts {
+				checkAgainstReference(t, cts[i], cts[j])
+				cmp, ind := CompareLeak(cts[i], cts[j])
+				if cmp != cmpU64(values[i], values[j]) {
+					t.Fatalf("Compare(Enc(%d), Enc(%d)) = %d", values[i], values[j], cmp)
+				}
+				if x := values[i] ^ values[j]; x != 0 && ind != bits.LeadingZeros64(x)+1 {
+					t.Fatalf("inddiff(Enc(%d), Enc(%d)) = %d", values[i], values[j], ind)
+				}
+			}
+		}
+	}
+}
+
+// TestCompareLeakMatchesReferenceOnOddInputs covers what only a hostile
+// plan frame or upload carries: lengths around CiphertextSize, bytes outside
+// Z_3 (where the mod-3 rule's byte arithmetic wraps), and a difference in
+// each byte position of a full-size pair.
+func TestCompareLeakMatchesReferenceOnOddInputs(t *testing.T) {
+	ct := testKey.Encrypt(30)
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 128} {
+		short := make([]byte, n)
+		copy(short, ct)
+		checkAgainstReference(t, short, ct)
+		checkAgainstReference(t, ct, short)
+	}
+	for i := 0; i < CiphertextSize; i++ {
+		for _, v := range []byte{0, 1, 2, 3, 0x7f, 0xfe, 0xff} {
+			alt := bytes.Clone(ct)
+			alt[i] = v
+			checkAgainstReference(t, alt, ct)
+			checkAgainstReference(t, ct, alt)
+		}
+	}
+}
+
+// FuzzCompareLeak asserts the word-wide comparison and the byte-at-a-time
+// reference return the same (cmp, inddiff) for arbitrary byte strings of
+// any length. Seeds live in testdata/fuzz/FuzzCompareLeak.
+func FuzzCompareLeak(f *testing.F) {
+	ct5, ct30 := testKey.Encrypt(5), testKey.Encrypt(30)
+	f.Add(ct5, ct30)
+	f.Add(ct30, ct30)
+	f.Add([]byte{}, ct30)
+	f.Add(ct30[:63], ct30)
+	f.Add(append(bytes.Clone(ct30), 2), ct5)
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		checkAgainstReference(t, a, b)
+		checkAgainstReference(t, b, a)
+	})
+}
+
 func BenchmarkEncrypt(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -136,5 +237,20 @@ func BenchmarkCompare(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Compare(cts[i%256], cts[(i+1)%256])
+	}
+}
+
+// BenchmarkCompareSmallValues is the range-filter shape: ciphertexts of
+// values below 365 against Enc(30), where 55+ leading bytes are equal.
+func BenchmarkCompareSmallValues(b *testing.B) {
+	cts := make([][]byte, 1024)
+	for i := range cts {
+		cts[i] = testKey.Encrypt(uint64(i) % 365)
+	}
+	c := testKey.Encrypt(30)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Compare(cts[i%1024], c)
 	}
 }

@@ -410,14 +410,14 @@ func (s *Server) initMetrics() {
 	s.reqSeconds = make(map[wire.MsgType]*obs.Histogram)
 	for _, t := range []wire.MsgType{wire.MsgRegister, wire.MsgAppend, wire.MsgRun} {
 		s.reqSeconds[t] = r.Histogram("seabed_request_seconds",
-			"Request latency from frame arrival to response written, by message type.",
+			"Request latency from frame arrival to the response being ready to write, by message type.",
 			nil, obs.Labels{"type": t.String()})
 	}
 	s.firstChunk = r.Histogram("seabed_first_chunk_seconds",
 		"Latency from run start to the first streamed scan rows reaching the sink.",
 		nil, nil)
 	s.bytesIn = r.Counter("seabed_bytes_in_total", "Bytes received, frame headers included.", nil)
-	s.bytesOut = r.Counter("seabed_bytes_out_total", "Bytes sent, frame headers included.", nil)
+	s.bytesOut = r.Counter("seabed_bytes_out_total", "Bytes of frames sent (counted as each write starts), headers included.", nil)
 
 	cf := func(name, help string, labels obs.Labels, c *atomic.Uint64) {
 		r.CounterFunc(name, help, labels, func() float64 { return float64(c.Load()) })
@@ -845,13 +845,17 @@ func (s *Server) serveConn(conn net.Conn, quit <-chan struct{}) {
 				s.reqErrors.Add(1)
 				s.logErr("request failed", "peer", peer, "type", f.t.String(), "err", wire.DecodeError(resp))
 			}
-			if err := wire.WriteFrame(conn, respType, resp); err != nil {
-				s.logErr("response write failed", "peer", peer, "err", err)
-				return
-			}
+			// Record the reply before writing it: the client may act on the
+			// reply (and a scrape may read the metrics) the moment it lands,
+			// so counting afterwards would let an observer see the response
+			// without its bytes and latency.
 			s.bytesOut.Add(uint64(len(resp)) + 5)
 			if h := s.reqSeconds[f.t]; h != nil {
 				h.ObserveDuration(time.Since(f.at))
+			}
+			if err := wire.WriteFrame(conn, respType, resp); err != nil {
+				s.logErr("response write failed", "peer", peer, "err", err)
+				return
 			}
 			if !keep {
 				s.log("closing connection mid-run", "peer", peer)
@@ -1073,10 +1077,10 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 				if err != nil {
 					return err
 				}
+				s.bytesOut.Add(uint64(len(chunkBuf)) + 5) // before the write, as in serveConn
 				if err := wire.WriteFrame(conn, wire.MsgResultChunk, chunkBuf); err != nil {
 					return err
 				}
-				s.bytesOut.Add(uint64(len(chunkBuf)) + 5)
 				aq.AddRows(uint64(len(rows)))
 				return nil
 			}
@@ -1086,10 +1090,10 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 				if err != nil {
 					return err
 				}
+				s.bytesOut.Add(uint64(len(chunk)) + 5) // before the write, as in serveConn
 				if err := wire.WriteFrame(conn, wire.MsgResultChunk, chunk); err != nil {
 					return err
 				}
-				s.bytesOut.Add(uint64(len(chunk)) + 5)
 				aq.AddRows(uint64(len(rows)))
 				return nil
 			}
